@@ -38,10 +38,16 @@ void RankingMetrics::Finalize() {
 
 double RankOf(double positive_score,
               const std::vector<double>& negative_scores) {
+  // Non-finite scores are a diverged model, never a good ranking: NaN
+  // compares false both ways and would otherwise rank a NaN positive
+  // first, so every comparison involving one goes against the positive.
+  if (!std::isfinite(positive_score)) {
+    return 1.0 + static_cast<double>(negative_scores.size());
+  }
   int64_t greater = 0;
   int64_t ties = 0;
   for (double s : negative_scores) {
-    if (s > positive_score) {
+    if (!std::isfinite(s) || s > positive_score) {
       ++greater;
     } else if (s == positive_score) {
       ++ties;

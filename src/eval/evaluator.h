@@ -123,7 +123,9 @@ EvalResult Evaluate(LinkPredictor* model, const DekgDataset& dataset,
 
 // Computes the filtered rank of `positive` among `negatives` given scores
 // (positive score first). Ties count half, making ranks robust to constant
-// scorers. Exposed for tests.
+// scorers. Non-finite scores rank pessimistically: a NaN/inf positive ranks
+// below every candidate, and a NaN/inf negative beats the positive.
+// Exposed for tests.
 double RankOf(double positive_score, const std::vector<double>& negative_scores);
 
 // Serializes every metric of an EvalResult as "group.metric<TAB>value"

@@ -231,7 +231,8 @@ Subgraph ExtractSubgraphDense(const KnowledgeGraph& g, EntityId head,
 // in this set — to alter either BFS field it must be reached through a
 // node at blocked distance <= t-1, which is itself in the set, and an
 // edge newly induced between kept nodes has both endpoints in it. The
-// serve-layer cache invalidation indexes cached subgraphs by this set.
+// serve-layer cache maintenance tests each cached subgraph's set against
+// the endpoints of ingested edges to find the entries an ingest affects.
 // O(touched): reads the workspace's stored union, no entity scan.
 std::vector<EntityId> TouchedEntities(const SubgraphWorkspace& workspace);
 

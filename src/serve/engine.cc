@@ -22,6 +22,17 @@ std::unique_ptr<quant::RgcnQuantWeights> BuildQuantWeights(
       model->gsm()->QuantizeFrozenWeights(precision));
 }
 
+// True iff the ascending lists share an entity; binary-searches each
+// element of the shorter in the longer, stopping at the first hit.
+bool SortedIntersects(const std::vector<EntityId>& a,
+                      const std::vector<EntityId>& b) {
+  if (a.size() > b.size()) return SortedIntersects(b, a);
+  for (EntityId e : a) {
+    if (std::binary_search(b.begin(), b.end(), e)) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 InferenceEngine::InferenceEngine(core::DekgIlpModel* model,
@@ -117,8 +128,8 @@ std::vector<double> InferenceEngine::ScoreBatchAgainstSnapshot(
     // Phase 2 (parallel): extract the misses into batch-local storage.
     // Extraction is RNG-free and reads only the const snapshot graph;
     // the sparse touched-set labels are captured from each workspace —
-    // they feed the invalidation index and the ingest-patch
-    // re-relaxation.
+    // CatchUpCache tests them against ingested endpoints and re-relaxes
+    // them to patch the entry in place.
     miss_subs.resize(miss.size());
     miss_labels.resize(miss.size());
     ParallelFor(0, static_cast<int64_t>(miss.size()), /*grain=*/0,
@@ -257,7 +268,6 @@ std::vector<double> InferenceEngine::ScoreBatchAgainstSnapshot(
     CachedMeta meta;
     meta.labels = std::move(miss_labels[m]);
     meta.seq = insert_seq_++;
-    for (EntityId e : meta.labels.entities) entity_index_[e].insert(t);
     fifo_.push_back(FifoSlot{t, meta.seq});
     key_meta_.emplace(t, std::move(meta));
   }
@@ -314,13 +324,13 @@ void InferenceEngine::CatchUpCache(const GraphSnapshot& snap,
 
   // Maintain exactly the cached extractions a new edge can affect: those
   // whose touched set contains an endpoint of a combined-batch triple.
+  // One scan of the resident entries per epoch is cheaper than keeping
+  // an entity→keys index up on every miss. Entries are maintained
+  // independently and the counters are sums, so visit order is moot.
   std::vector<Triple> affected;
-  TripleSet seen;
-  for (EntityId e : touched) {
-    auto it = entity_index_.find(e);
-    if (it == entity_index_.end()) continue;
-    for (const Triple& key : it->second) {
-      if (seen.insert(key).second) affected.push_back(key);
+  for (const auto& [key, meta] : key_meta_) {
+    if (SortedIntersects(meta.labels.entities, touched)) {
+      affected.push_back(key);
     }
   }
 
@@ -362,10 +372,10 @@ void InferenceEngine::CatchUpCache(const GraphSnapshot& snap,
       ++removed;
       continue;
     }
-    // The touched union set is unchanged, so entity_index_ stays valid;
-    // the rebuild goes through the same assembly path fresh extraction
-    // uses, so the swapped payload is bit-identical to ExtractSubgraph
-    // on the snapshot graph.
+    // The touched union set is unchanged, so meta.labels.entities still
+    // describes the entry; the rebuild goes through the same assembly
+    // path fresh extraction uses, so the swapped payload is
+    // bit-identical to ExtractSubgraph on the snapshot graph.
     cache_.Replace(key,
                    BuildSubgraphFromLabels(g, key.head, key.tail, key.rel, sc,
                                            meta.labels, &patch_workspace_));
@@ -381,16 +391,7 @@ void InferenceEngine::CatchUpCache(const GraphSnapshot& snap,
 }
 
 void InferenceEngine::RemoveCached(const Triple& key) {
-  auto it = key_meta_.find(key);
-  if (it == key_meta_.end()) return;
-  cache_.Erase(key);
-  for (EntityId e : it->second.labels.entities) {
-    auto idx = entity_index_.find(e);
-    if (idx == entity_index_.end()) continue;
-    idx->second.erase(key);
-    if (idx->second.empty()) entity_index_.erase(idx);
-  }
-  key_meta_.erase(it);
+  if (key_meta_.erase(key) > 0) cache_.Erase(key);
 }
 
 void InferenceEngine::EnforceCapacity() {

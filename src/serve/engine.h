@@ -1,7 +1,7 @@
 // Inference engine of the online scoring server (DESIGN.md §9, §14).
 //
 // Owns the frozen DEKG-ILP model pointer and a shard's subgraph cache
-// with its invalidation index; reads graph + CLRM rows from an
+// with its per-entry maintenance labels; reads graph + CLRM rows from an
 // epoch-tagged immutable snapshot (serve/snapshot.h). Two modes share
 // all scoring code:
 //
@@ -59,9 +59,8 @@
 namespace dekg::serve {
 
 struct EngineConfig {
-  // Maximum resident cached subgraphs (0 = unlimited). Enforced FIFO by
-  // the engine itself so every removal also cleans the invalidation
-  // index.
+  // Maximum resident cached subgraphs (0 = unlimited), enforced FIFO by
+  // the engine so every removal also drops the entry's maintenance labels.
   int64_t cache_capacity = 4096;
   LiveGraphConfig live_graph;
   // Packed-batch assembly for GSM scoring (ScoreBatch Phase 3): every
@@ -225,7 +224,7 @@ class InferenceEngine {
   std::vector<double> ScoreBatchAgainstSnapshot(
       const GraphSnapshot& snap, const std::vector<ScoreItem>& items);
 
-  // Removes one cached key and its invalidation-index entries.
+  // Removes one cached key and its maintenance labels.
   void RemoveCached(const Triple& key);
   // FIFO-evicts until the resident count fits the capacity.
   void EnforceCapacity();
@@ -248,16 +247,15 @@ class InferenceEngine {
 
   // Subgraph cache (unlimited; capacity enforced here) plus the
   // maintenance bookkeeping. key_meta_ holds each resident key's sparse
-  // labels + sequence number; entity_index_ inverts the touched sets.
-  // fifo_ may hold stale slots (keys invalidated — possibly re-inserted
-  // under a newer sequence — before eviction); EnforceCapacity skips any
-  // slot whose sequence no longer matches the resident entry, so a
-  // re-inserted key ages from its re-insertion and effective capacity is
-  // never undercounted.
+  // labels + sequence number; CatchUpCache scans it for the entries an
+  // ingest affects. fifo_ may hold stale slots (keys invalidated —
+  // possibly re-inserted under a newer sequence — before eviction);
+  // EnforceCapacity skips any slot whose sequence no longer matches the
+  // resident entry, so a re-inserted key ages from its re-insertion and
+  // effective capacity is never undercounted.
   SubgraphCache cache_{0};
   std::deque<FifoSlot> fifo_;
   std::unordered_map<Triple, CachedMeta, TripleHash> key_meta_;
-  std::unordered_map<EntityId, TripleSet> entity_index_;
 
   // Reusable stamped workspace for the single-writer ingest-patch path's
   // label rebuilds (CatchUpCache only; never shared with the read path).

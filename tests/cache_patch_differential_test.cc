@@ -27,6 +27,7 @@
 #include "common/rng.h"
 #include "core/dekg_ilp.h"
 #include "datagen/synthetic_kg.h"
+#include "graph/subgraph.h"
 #include "serve/engine.h"
 #include "serve/protocol.h"
 
@@ -258,6 +259,130 @@ TEST(CachePatchDifferentialTest, HighChurnEveryOtherStepIngests) {
   EXPECT_GT(outcome.ingest_steps, 0u);
   EXPECT_GT(outcome.score_steps, 0u);
   EXPECT_GT(outcome.patched + outcome.repaired + outcome.fallback, 0u);
+}
+
+// Brute-force size of an ingest's affected set: the warm triples whose
+// touched set, from a fresh extraction on the pre-ingest graph `g`,
+// contains an endpoint of a batch triple.
+uint64_t BruteForceAffected(const core::Gsm& gsm, const KnowledgeGraph& g,
+                            const std::vector<Triple>& warm,
+                            const std::vector<Triple>& batch) {
+  uint64_t affected = 0;
+  SubgraphWorkspace workspace;
+  for (const Triple& t : warm) {
+    (void)gsm.Extract(g, t, &workspace);
+    const std::vector<EntityId> touched = TouchedEntities(workspace);
+    const bool hit = std::any_of(
+        batch.begin(), batch.end(), [&](const Triple& b) {
+          return std::binary_search(touched.begin(), touched.end(), b.head) ||
+                 std::binary_search(touched.begin(), touched.end(), b.tail);
+        });
+    if (hit) ++affected;
+  }
+  return affected;
+}
+
+// The maintenance pass must visit exactly the affected entries. The
+// bitwise gates above catch an under-inclusive affected set (a stale entry
+// serves wrong bits); only a count catches an over-inclusive one, which
+// wastes work without changing a bit.
+TEST(CachePatchDifferentialTest, AffectedSetIsExact) {
+  DekgDataset dataset = ChurnDataset(MixSeed(97, 5));
+  core::DekgIlpModel model(SmallModelConfig(dataset.num_relations()),
+                           /*seed=*/3);
+  ASSERT_NE(model.gsm(), nullptr);
+  const core::Gsm& gsm = *model.gsm();
+
+  EngineConfig patch_config;
+  patch_config.cache_capacity = 0;  // unlimited: every warm triple resident
+  patch_config.score_memo_capacity = 0;
+  EngineConfig invalidate_config = patch_config;
+  invalidate_config.patch_cache = false;
+  InferenceEngine patch_engine(&model, dataset.original_graph(), patch_config);
+  InferenceEngine invalidate_engine(&model, dataset.original_graph(),
+                                    invalidate_config);
+
+  std::vector<Triple> warm;
+  TripleSet distinct;
+  for (const LabeledLink& link : dataset.test_links()) {
+    if (distinct.insert(link.triple).second) warm.push_back(link.triple);
+  }
+  ASSERT_GE(warm.size(), 8u);
+
+  const int32_t base_entities = dataset.inference_graph().num_entities();
+  const int32_t num_hops = gsm.subgraph_config().num_hops;
+
+  // A boundary entity of a warm subgraph: a touched entity whose nearer
+  // distance to the triple's head or tail is exactly the hop limit.
+  EntityId boundary = -1;
+  SubgraphWorkspace workspace;
+  for (size_t w = 0; w < warm.size() && boundary < 0; ++w) {
+    (void)gsm.Extract(dataset.original_graph(), warm[w], &workspace);
+    const TouchedLabels labels = TouchedEntityLabels(workspace);
+    for (size_t i = 0; i < labels.entities.size(); ++i) {
+      const int32_t dh = labels.dist_head[i];
+      const int32_t dt = labels.dist_tail[i];
+      if (std::min(dh < 0 ? num_hops : dh, dt < 0 ? num_hops : dt) ==
+          num_hops) {
+        boundary = labels.entities[i];
+        break;
+      }
+    }
+  }
+  ASSERT_GE(boundary, 0) << "no warm subgraph reaches its hop limit";
+
+  struct Step {
+    const char* name;
+    std::vector<Triple> batch;
+    bool affects_none;
+  };
+  std::vector<Step> steps;
+  // Two brand-new entities linked to each other: no cached touched set
+  // contains either endpoint.
+  steps.push_back({"isolated pair",
+                   {Triple{base_entities, 0, base_entities + 1}},
+                   /*affects_none=*/true});
+  // One new edge from a brand-new entity to a single boundary entity.
+  steps.push_back({"boundary entity",
+                   {Triple{base_entities + 2, 1, boundary}},
+                   /*affects_none=*/false});
+  // A file-order emerging chunk (the live-serving steady state).
+  const std::vector<Triple>& emerging = dataset.emerging_triples();
+  steps.push_back(
+      {"emerging chunk",
+       std::vector<Triple>(emerging.begin(),
+                           emerging.begin() + std::min<size_t>(
+                                                  16, emerging.size())),
+       /*affects_none=*/false});
+
+  for (const Step& step : steps) {
+    // Warm both caches on the pre-ingest graph, then count by brute force.
+    (void)patch_engine.ScoreBatch(ItemsFor(warm, /*request_seed=*/123));
+    (void)invalidate_engine.ScoreBatch(ItemsFor(warm, /*request_seed=*/123));
+    ASSERT_EQ(patch_engine.Stats().cache_entries, warm.size());
+    ASSERT_EQ(invalidate_engine.Stats().cache_entries, warm.size());
+    const uint64_t expected =
+        BruteForceAffected(gsm, patch_engine.graph(), warm, step.batch);
+
+    IngestResponse patch_response;
+    IngestResponse invalidate_response;
+    patch_engine.Ingest(step.batch, &patch_response);
+    invalidate_engine.Ingest(step.batch, &invalidate_response);
+    ASSERT_EQ(patch_response.status, Status::kOk) << patch_response.error;
+    ASSERT_EQ(invalidate_response.status, Status::kOk)
+        << invalidate_response.error;
+    EXPECT_EQ(patch_response.patched + patch_response.repaired +
+                  patch_response.invalidated,
+              expected)
+        << step.name;
+    EXPECT_EQ(invalidate_response.invalidated, expected) << step.name;
+
+    if (step.affects_none) {
+      EXPECT_EQ(expected, 0u) << step.name;
+    } else {
+      EXPECT_GT(expected, 0u) << step.name << " touched no warm entry";
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace dekg {
 namespace {
 
@@ -18,6 +20,36 @@ TEST(RankOfTest, TiesCountHalf) {
 
 TEST(RankOfTest, EmptyNegativesIsRankOne) {
   EXPECT_DOUBLE_EQ(RankOf(0.0, {}), 1.0);
+}
+
+TEST(RankOfTest, NanPositiveRanksBelowEveryCandidate) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_DOUBLE_EQ(RankOf(nan, {1.0, 2.0, 3.0}), 4.0);
+  EXPECT_DOUBLE_EQ(RankOf(nan, {nan, nan}), 3.0);
+  EXPECT_DOUBLE_EQ(RankOf(nan, {}), 1.0);
+  // Infinities are no better: a diverged scorer never ranks first.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_DOUBLE_EQ(RankOf(inf, {1.0, 2.0}), 3.0);
+  EXPECT_DOUBLE_EQ(RankOf(-inf, {1.0, 2.0}), 3.0);
+}
+
+TEST(RankOfTest, NanNegativeBeatsThePositive) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_DOUBLE_EQ(RankOf(5.0, {nan, 1.0, 2.0}), 2.0);
+  EXPECT_DOUBLE_EQ(RankOf(5.0, {nan, nan, nan}), 4.0);
+  EXPECT_DOUBLE_EQ(RankOf(2.0, {nan, 2.0, 3.0}), 3.5);  // 1 + 2 + 1/2
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_DOUBLE_EQ(RankOf(5.0, {-inf, inf}), 3.0);
+}
+
+TEST(RankOfTest, DivergedModelScoresWorstMrr) {
+  // A model whose every score is NaN must not score a perfect MRR.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  RankingMetrics m;
+  for (int i = 0; i < 3; ++i) m.Accumulate(RankOf(nan, {nan, nan, nan, nan}));
+  m.Finalize();
+  EXPECT_DOUBLE_EQ(m.mrr, 0.2);
+  EXPECT_DOUBLE_EQ(m.hits_at_1, 0.0);
 }
 
 TEST(RankingMetricsTest, AccumulateAndFinalize) {
